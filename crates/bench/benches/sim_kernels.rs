@@ -15,7 +15,7 @@
 //!   demonstrating the broken 8-qubit verification wall.
 //! * **sparse crossover** — [`trios_sim::SparseState`] on the
 //!   toffoli-ripple shape at 8–200 qubits, against the dense backend
-//!   where dense can still fit: sparse pays a constant-factor hash-map
+//!   where dense can still fit: sparse pays a constant-factor per-term
 //!   tax at small widths and is the only statevector option past ~26.
 //!
 //! Run with `cargo bench -p trios-bench --bench sim_kernels`.

@@ -45,6 +45,14 @@ pub enum QasmError {
         /// Description of the reference.
         reference: String,
     },
+    /// A parameter expression nested (parentheses or unary minus) deeper
+    /// than the parser's limit.
+    TooDeep {
+        /// 1-based line number.
+        line: usize,
+        /// The deepest nesting accepted.
+        limit: usize,
+    },
 }
 
 impl fmt::Display for QasmError {
@@ -73,6 +81,10 @@ impl fmt::Display for QasmError {
             QasmError::BadReference { line, reference } => {
                 write!(f, "line {line}: invalid reference {reference}")
             }
+            QasmError::TooDeep { line, limit } => write!(
+                f,
+                "line {line}: parameter expression nested deeper than {limit} levels"
+            ),
         }
     }
 }

@@ -140,7 +140,14 @@ struct Parser {
     qregs: Vec<Register>,
     cregs: Vec<Register>,
     declared_gates: Vec<String>,
+    /// Parentheses and unary minuses open in the current expression.
+    depth: usize,
 }
+
+/// Deepest parameter-expression nesting the parser accepts. Expressions
+/// parse by recursion, so without a bound a long run of `(` or `-` would
+/// overflow the stack and abort the process.
+const MAX_EXPR_DEPTH: usize = 64;
 
 /// A parsed qubit argument: one qubit or a whole register (broadcast).
 enum QubitArg {
@@ -156,6 +163,7 @@ impl Parser {
             qregs: Vec::new(),
             cregs: Vec::new(),
             declared_gates: Vec::new(),
+            depth: 0,
         })
     }
 
@@ -495,17 +503,35 @@ impl Parser {
         match self.next() {
             Some(Tok::Number(v)) => Ok(v),
             Some(Tok::Ident(w)) if w == "pi" => Ok(PI),
-            Some(Tok::Punct('-')) => Ok(-self.factor()?),
-            Some(Tok::Punct('(')) => {
-                let v = self.expression()?;
-                self.expect_punct(')')?;
+            Some(Tok::Punct('-')) => self.nested(|p| Ok(-p.factor()?)),
+            Some(Tok::Punct('(')) => self.nested(|p| {
+                let v = p.expression()?;
+                p.expect_punct(')')?;
                 Ok(v)
-            }
+            }),
             _ => {
                 self.pos = self.pos.saturating_sub(1);
                 Err(self.unexpected("a parameter expression"))
             }
         }
+    }
+
+    /// Runs `parse` one expression level deeper, or errors past
+    /// [`MAX_EXPR_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<f64, QasmError>,
+    ) -> Result<f64, QasmError> {
+        if self.depth == MAX_EXPR_DEPTH {
+            return Err(QasmError::TooDeep {
+                line: self.line(),
+                limit: MAX_EXPR_DEPTH,
+            });
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 }
 

@@ -708,7 +708,14 @@ fn compile_one(
     let compiler = protocol::compiler_for(params);
     let key = CompilationCache::key(&circuit, &device, compiler.options());
     let (program, cached) = match shared.cache.get(key) {
-        Some((program, _report)) => (program, true),
+        Some((mut program, _report)) => {
+            // Cache keys ignore names, so a hit carries the name of
+            // whichever request filled the entry: give it this one's.
+            if program.circuit.name() != circuit.name() {
+                program.circuit.set_name(circuit.name());
+            }
+            (program, true)
+        }
         None => {
             let (program, report) =
                 compiler

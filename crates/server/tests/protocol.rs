@@ -101,6 +101,34 @@ fn protocol_errors_answer_structured_and_the_server_keeps_serving() {
 }
 
 #[test]
+fn deeply_nested_input_errors_and_the_server_keeps_serving() {
+    let server = start(test_config());
+    let mut client = Client::connect(server.local_addr()).unwrap();
+
+    // ~100 KB of '[' on one request line (well under the line cap).
+    client.send_raw(&"[".repeat(100_000)).unwrap();
+    let response = parse(&client.read_line().unwrap());
+    assert_eq!(error_kind(&response).as_deref(), Some("parse"));
+
+    // Inline QASM whose parameter nests 200k parentheses deep.
+    let param = format!("{}pi{}", "(".repeat(200_000), ")".repeat(200_000));
+    let qasm = format!("OPENQASM 2.0;\\nqreg q[1];\\nrz({param}) q[0];\\n");
+    let response = parse(
+        &client
+            .call("compile", &format!(r#"{{"qasm": "{qasm}"}}"#))
+            .unwrap(),
+    );
+    assert_eq!(error_kind(&response).as_deref(), Some("bad-request"));
+
+    // The daemon is still up and answering.
+    let response = parse(&client.call("stats", "{}").unwrap());
+    assert!(result_of(&response).get("cache").is_some());
+
+    server.shutdown();
+    server.join();
+}
+
+#[test]
 fn oversized_lines_error_without_desyncing_the_stream() {
     let server = start(ServerConfig {
         max_line_bytes: 512,
@@ -261,6 +289,36 @@ fn repeated_requests_hit_the_shared_cache_across_connections() {
     );
     let shards = result.get("shards").and_then(Value::as_array).unwrap();
     assert_eq!(shards.len(), ServerConfig::default().shards);
+
+    server.shutdown();
+    server.join();
+}
+
+#[test]
+fn emitted_qasm_on_a_cache_hit_carries_the_requesting_circuits_name() {
+    // Two generator seeds that land on the same grid entry build the same
+    // QFT under different names; the cache key ignores names, so the
+    // second request is a hit on the entry the first one filled.
+    let mut by_params = std::collections::HashMap::new();
+    let (first, second) = (0u64..)
+        .find_map(|seed| {
+            let case = trios_gen::Family::Qft.generate_case(seed);
+            by_params
+                .insert(case.params.qubits, seed)
+                .map(|earlier| (earlier, seed))
+        })
+        .unwrap();
+    let server = start(test_config());
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    for (seed, cached) in [(first, false), (second, true)] {
+        let name = trios_gen::Family::Qft.generate_case(seed).name;
+        let params = format!(r#"{{"benchmark": "gen:qft:{seed}", "emit-qasm": true}}"#);
+        let response = parse(&client.call("compile", &params).unwrap());
+        let result = result_of(&response);
+        assert_eq!(result.get("cached").and_then(Value::as_bool), Some(cached));
+        let qasm = result.get("qasm").and_then(Value::as_str).unwrap();
+        assert_eq!(qasm.lines().next(), Some(format!("// {name}").as_str()));
+    }
 
     server.shutdown();
     server.join();

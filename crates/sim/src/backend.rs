@@ -6,7 +6,7 @@
 //! |---|---|---|---|
 //! | [`DenseSimulator`] | statevector ([`State`]) | ≤ [`MAX_QUBITS`] | any unitary |
 //! | [`StabilizerSimulator`] | CHP tableau ([`Tableau`]) | hundreds of qubits | Clifford |
-//! | [`SparseSimulator`] | term map ([`SparseState`]) | ≤ [`SPARSE_MAX_QUBITS`] (more via compaction) | any unitary, ≤ `max_terms` amplitudes |
+//! | [`SparseSimulator`] | flat term list ([`SparseState`]; permutation and diagonal gates in place) | ≤ [`SPARSE_MAX_QUBITS`] (more via compaction) | any unitary, ≤ `max_terms` amplitudes |
 //!
 //! The fuzz harness asks [`auto_backend`] to pick per cell: stabilizer
 //! whenever the pair is all-Clifford (exact and effectively free at any

@@ -1,4 +1,4 @@
-//! Sparse statevector simulation: a hash map over nonzero amplitudes.
+//! Sparse statevector simulation: a flat list of nonzero amplitudes.
 //!
 //! The dense backend caps out at [`MAX_QUBITS`](crate::MAX_QUBITS) because
 //! it materializes all 2^n amplitudes; the stabilizer backend scales to
@@ -6,16 +6,25 @@
 //! ripple-carry adders, Toffoli networks, CnX ladders — are non-Clifford
 //! yet *low-entanglement*: pushed through from a basis-ish input they keep
 //! a tiny number of nonzero amplitudes at any register width. This module
-//! exploits that: [`SparseState`] stores only the nonzero terms, keyed by
-//! basis index, and [`SparseSimulator`] verifies compiled circuits exactly
-//! at full device width (Johannesburg's 20 qubits, 127-qubit heavy-hex)
-//! as long as the term count stays under a [`max_terms`] budget. When a
-//! circuit *does* entangle past the budget the simulator reports
-//! [`SimError::StateTooDense`] instead of thrashing — never a wrong
-//! verdict.
+//! exploits that: [`SparseState`] stores only the nonzero terms, as a flat
+//! list of (basis index, amplitude) pairs, and [`SparseSimulator`]
+//! verifies compiled circuits exactly at full device width (Johannesburg's
+//! 20 qubits, 127-qubit heavy-hex) as long as the term count stays under
+//! a [`max_terms`] budget. When a circuit *does* entangle past the budget
+//! the simulator reports [`SimError::StateTooDense`] instead of thrashing
+//! — never a wrong verdict.
+//!
+//! Gates run by class. Permutation gates (X, CX, CCX, SWAP, CSWAP)
+//! rewrite basis indices in place: a bijection keeps them unique.
+//! Diagonal gates (Z, S, T, U1, CZ, CP, CCZ, diagonal single-qubit
+//! matrices) scale amplitudes in place. Neither hashes nor allocates, and
+//! together they are the bulk of a routed Toffoli network. Only
+//! superposing gates (general single-qubit matrices, controlled powers)
+//! pair each |…0…⟩ term with its |…1…⟩ partner, through a scratch index
+//! the state reuses from gate to gate.
 //!
 //! Keys are 256-bit basis indices (`[u64; 4]`), hashed with a vendored
-//! Fx-style multiply hasher so map behaviour is fully deterministic for a
+//! Fx-style multiply hasher so behaviour is fully deterministic for a
 //! given seed; registers wider than [`SPARSE_MAX_QUBITS`] are handled by
 //! compacting onto the qubits a cell actually touches (routed circuits on
 //! kiloqubit devices use a small fraction of the register).
@@ -24,9 +33,13 @@
 
 use crate::state::SplitMix64;
 use crate::{single_qubit_matrix, xpow_matrix, Capability, Mat2, SimError, Simulator, C64};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use trios_ir::{Circuit, Gate, Instruction, Qubit};
+
+#[cfg(test)]
+mod map_reference;
 
 /// Widest register a [`SparseState`] can hold directly (the basis-index
 /// key is 4×64 bits). [`SparseSimulator`] stretches past this for routed
@@ -50,6 +63,9 @@ const ZERO_KEY: Key = [0; KEY_WORDS];
 /// comparison tolerance.
 const PRUNE_NORM_SQR: f64 = 1e-28;
 
+/// Partner slot of a term whose pair has only one member present.
+const UNPAIRED: usize = usize::MAX;
+
 #[inline]
 fn key_bit(key: &Key, q: usize) -> bool {
     key[q / 64] >> (q % 64) & 1 == 1
@@ -58,6 +74,12 @@ fn key_bit(key: &Key, q: usize) -> bool {
 #[inline]
 fn key_flip(mut key: Key, q: usize) -> Key {
     key[q / 64] ^= 1 << (q % 64);
+    key
+}
+
+#[inline]
+fn key_clear(mut key: Key, q: usize) -> Key {
+    key[q / 64] &= !(1 << (q % 64));
     key
 }
 
@@ -84,9 +106,15 @@ impl Hasher for FxHasher {
         self.hash
     }
 
+    /// Whole 8-byte words at a time (a `[u64; 4]` key arrives here as one
+    /// 32-byte slice), then any tail byte by byte.
     #[inline]
     fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.add(u64::from_le_bytes(word.try_into().expect("8-byte chunk")));
+        }
+        for &b in words.remainder() {
             self.add(u64::from(b));
         }
     }
@@ -102,19 +130,20 @@ impl Hasher for FxHasher {
     }
 }
 
-type FxBuildHasher = BuildHasherDefault<FxHasher>;
-type TermMap = HashMap<Key, C64, FxBuildHasher>;
+type FxHashMap<V> = HashMap<Key, V, BuildHasherDefault<FxHasher>>;
 
-fn term_map(capacity: usize) -> TermMap {
-    TermMap::with_capacity_and_hasher(capacity, FxBuildHasher::default())
-}
-
-/// A statevector stored as a map from basis index to nonzero amplitude.
+/// A statevector stored as a flat list of its nonzero amplitudes.
 #[derive(Debug, Clone)]
 pub struct SparseState {
     num_qubits: usize,
-    terms: TermMap,
+    /// Nonzero terms, unique by basis index, in no meaningful order.
+    terms: Vec<(Key, C64)>,
     max_terms: usize,
+    /// Superposing-gate scratch, reused from gate to gate: the first
+    /// position in `terms` seen for each |…0…⟩ pair key …
+    pair_index: FxHashMap<usize>,
+    /// … and each term's partner position, or [`UNPAIRED`].
+    partner: Vec<usize>,
 }
 
 impl SparseState {
@@ -131,12 +160,12 @@ impl SparseState {
                 max: SPARSE_MAX_QUBITS,
             });
         }
-        let mut terms = term_map(1);
-        terms.insert(ZERO_KEY, C64::ONE);
         Ok(SparseState {
             num_qubits,
-            terms,
+            terms: vec![(ZERO_KEY, C64::ONE)],
             max_terms: DEFAULT_MAX_TERMS,
+            pair_index: FxHashMap::default(),
+            partner: Vec::new(),
         })
     }
 
@@ -168,14 +197,22 @@ impl SparseState {
     pub fn amplitude(&self, index: u64) -> C64 {
         let mut key = ZERO_KEY;
         key[0] = index;
-        self.terms.get(&key).copied().unwrap_or(C64::ZERO)
+        self.amplitude_at(&key)
+    }
+
+    /// The amplitude stored for `key`, by linear scan (zero when absent).
+    fn amplitude_at(&self, key: &Key) -> C64 {
+        self.terms
+            .iter()
+            .find(|(k, _)| k == key)
+            .map_or(C64::ZERO, |&(_, amp)| amp)
     }
 
     /// The ℓ² norm (1 for any valid quantum state, up to pruning residue).
     pub fn norm(&self) -> f64 {
         self.terms
-            .values()
-            .map(|a| a.norm_sqr())
+            .iter()
+            .map(|(_, a)| a.norm_sqr())
             .sum::<f64>()
             .sqrt()
     }
@@ -197,7 +234,7 @@ impl SparseState {
             });
         }
         let mut amps = vec![C64::ZERO; 1usize << self.num_qubits];
-        for (key, &amp) in &self.terms {
+        for &(key, amp) in &self.terms {
             amps[key[0] as usize] = amp;
         }
         Ok(amps)
@@ -259,12 +296,7 @@ impl SparseState {
             if instr.gate().is_measurement() {
                 continue;
             }
-            let mapped: Vec<Qubit> = instr
-                .qubits()
-                .iter()
-                .map(|q| Qubit::new(map[q.index()]))
-                .collect();
-            self.try_apply(&Instruction::new(instr.gate(), &mapped))?;
+            self.try_apply(&instr.map_qubits(|q| Qubit::new(map[q.index()])))?;
         }
         Ok(())
     }
@@ -272,9 +304,9 @@ impl SparseState {
     /// Applies one unitary instruction.
     ///
     /// Diagonal and permutation gates (the bulk of routed Toffoli
-    /// networks) never grow the term count; superposing gates (H, Y, √X,
-    /// rotations, controlled powers) at most double it and are followed by
-    /// a budget check.
+    /// networks) run in place and never change the term count;
+    /// superposing gates (H, Y, √X, rotations, controlled powers) at most
+    /// double it and are followed by a budget check.
     ///
     /// # Errors
     ///
@@ -383,8 +415,8 @@ impl SparseState {
                 Ok(())
             }
             Gate::Cxpow(t) => {
-                let m = xpow_matrix(t);
-                self.apply_controlled_1q(q(0), q(1), &m)
+                let (c, target) = (q(0), q(1));
+                self.pair_walk(target, &xpow_matrix(t), |key| key_bit(key, c))
             }
             g => match single_qubit_matrix(g) {
                 Some(m) => self.apply_1q(q(0), &m),
@@ -397,93 +429,94 @@ impl SparseState {
     }
 
     /// Rewrites every basis index through the bijection `f` (X/CX/CCX/
-    /// SWAP/CSWAP). Term count is preserved exactly.
+    /// SWAP/CSWAP), in place: a bijection keeps the keys unique, so the
+    /// term count is preserved exactly.
     fn permute(&mut self, f: impl Fn(Key) -> Key) {
-        let mut out = term_map(self.terms.len());
-        for (key, amp) in self.terms.drain() {
-            out.insert(f(key), amp);
+        for (key, _) in &mut self.terms {
+            *key = f(*key);
         }
-        self.terms = out;
     }
 
     /// Multiplies the amplitude of every basis state with all of `qubits`
     /// set by `phase` (Z/S/T/U1/CZ/CP/CCZ). Term count is preserved.
     fn phase_where(&mut self, qubits: &[usize], phase: C64) {
-        for (key, amp) in self.terms.iter_mut() {
+        for (key, amp) in &mut self.terms {
             if qubits.iter().all(|&q| key_bit(key, q)) {
                 *amp *= phase;
             }
         }
     }
 
-    /// General single-qubit gate: walks each touched |…0…⟩/|…1…⟩ pair
-    /// once and rebuilds the map. A diagonal matrix short-circuits to an
-    /// in-place scale.
+    /// General single-qubit gate. A diagonal matrix short-circuits to an
+    /// in-place scale; anything else pair-walks every term.
     fn apply_1q(&mut self, q: usize, m: &Mat2) -> Result<(), SimError> {
         if m[0][1].norm_sqr() < PRUNE_NORM_SQR && m[1][0].norm_sqr() < PRUNE_NORM_SQR {
             let (m00, m11) = (m[0][0], m[1][1]);
-            for (key, amp) in self.terms.iter_mut() {
+            for (key, amp) in &mut self.terms {
                 *amp *= if key_bit(key, q) { m11 } else { m00 };
             }
             return Ok(());
         }
-        let mut out = term_map(self.terms.len().saturating_mul(2));
-        for (&key, &amp) in &self.terms {
-            let set = key_bit(&key, q);
-            let lo = if set { key_flip(key, q) } else { key };
-            if set && self.terms.contains_key(&lo) {
-                continue; // this pair is handled from its |…0…⟩ member
-            }
-            let hi = key_flip(lo, q);
-            let (a0, a1) = if set {
-                (C64::ZERO, amp)
-            } else {
-                (amp, self.terms.get(&hi).copied().unwrap_or(C64::ZERO))
-            };
-            let n0 = m[0][0] * a0 + m[0][1] * a1;
-            let n1 = m[1][0] * a0 + m[1][1] * a1;
-            if n0.norm_sqr() >= PRUNE_NORM_SQR {
-                out.insert(lo, n0);
-            }
-            if n1.norm_sqr() >= PRUNE_NORM_SQR {
-                out.insert(hi, n1);
-            }
-        }
-        self.terms = out;
-        self.check_budget()
+        self.pair_walk(q, m, |_| true)
     }
 
-    /// Controlled general single-qubit gate on target `t`: terms with the
-    /// control clear pass through; the control-set subspace gets the pair
-    /// walk of [`SparseState::apply_1q`].
-    fn apply_controlled_1q(&mut self, c: usize, t: usize, m: &Mat2) -> Result<(), SimError> {
-        let mut out = term_map(self.terms.len().saturating_mul(2));
-        for (&key, &amp) in &self.terms {
-            if !key_bit(&key, c) {
-                out.insert(key, amp);
+    /// Applies `m` on qubit `q` to the terms `in_scope` selects (all of
+    /// them, or a controlled gate's control-set subspace; flipping `q`
+    /// never leaves it). Each |…0…⟩/|…1…⟩ pair is updated once, in place;
+    /// a missing partner is appended. Touched terms that cancel below the
+    /// prune threshold are dropped, then the budget is checked.
+    fn pair_walk(
+        &mut self,
+        q: usize,
+        m: &Mat2,
+        in_scope: impl Fn(&Key) -> bool,
+    ) -> Result<(), SimError> {
+        let n = self.terms.len();
+        self.pair_index.clear();
+        self.partner.clear();
+        self.partner.resize(n, UNPAIRED);
+        for (i, (key, _)) in self.terms.iter().enumerate() {
+            if !in_scope(key) {
                 continue;
             }
-            let set = key_bit(&key, t);
-            let lo = if set { key_flip(key, t) } else { key };
-            if set && self.terms.contains_key(&lo) {
-                continue; // lo also has the control set: handled there
+            match self.pair_index.entry(key_clear(*key, q)) {
+                Entry::Vacant(slot) => {
+                    slot.insert(i);
+                }
+                Entry::Occupied(slot) => {
+                    let j = *slot.get();
+                    self.partner[i] = j;
+                    self.partner[j] = i;
+                }
             }
-            let hi = key_flip(lo, t);
-            let (a0, a1) = if set {
-                (C64::ZERO, amp)
-            } else {
-                (amp, self.terms.get(&hi).copied().unwrap_or(C64::ZERO))
+        }
+        for i in 0..n {
+            let (key, amp) = self.terms[i];
+            if !in_scope(&key) {
+                continue;
+            }
+            let set = key_bit(&key, q);
+            let j = self.partner[i];
+            if set && j != UNPAIRED {
+                continue; // this pair is handled from its |…0…⟩ member
+            }
+            let (a0, a1) = match (set, j) {
+                (true, _) => (C64::ZERO, amp),
+                (false, UNPAIRED) => (amp, C64::ZERO),
+                (false, j) => (amp, self.terms[j].1),
             };
             let n0 = m[0][0] * a0 + m[0][1] * a1;
             let n1 = m[1][0] * a0 + m[1][1] * a1;
-            if n0.norm_sqr() >= PRUNE_NORM_SQR {
-                out.insert(lo, n0);
-            }
-            if n1.norm_sqr() >= PRUNE_NORM_SQR {
-                out.insert(hi, n1);
+            let (here, there) = if set { (n1, n0) } else { (n0, n1) };
+            self.terms[i].1 = here;
+            if j == UNPAIRED {
+                self.terms.push((key_flip(key, q), there));
+            } else {
+                self.terms[j].1 = there;
             }
         }
-        self.terms = out;
+        self.terms
+            .retain(|(key, amp)| !in_scope(key) || amp.norm_sqr() >= PRUNE_NORM_SQR);
         self.check_budget()
     }
 
@@ -501,19 +534,19 @@ impl SparseState {
     /// `true` when the two states are equal up to a global phase, with
     /// per-amplitude tolerance `eps`. The reference phase comes from
     /// `other`'s largest amplitude (ties broken by smallest basis index),
-    /// so the verdict does not depend on hash-map iteration order.
+    /// so the verdict does not depend on either list's term order.
     pub fn approx_eq_up_to_phase(&self, other: &SparseState, eps: f64) -> bool {
         if self.num_qubits != other.num_qubits {
             return false;
         }
         let mut reference: Option<(&Key, C64)> = None;
-        for (key, &amp) in &other.terms {
+        for (key, amp) in &other.terms {
             reference = match reference {
-                None => Some((key, amp)),
+                None => Some((key, *amp)),
                 Some((bk, ba)) => {
                     let d = amp.norm_sqr() - ba.norm_sqr();
                     if d > 0.0 || (d == 0.0 && key < bk) {
-                        Some((key, amp))
+                        Some((key, *amp))
                     } else {
                         Some((bk, ba))
                     }
@@ -523,25 +556,34 @@ impl SparseState {
         let Some((rk, ra)) = reference else {
             // `other` is (numerically) the zero vector: equal only if we
             // are too.
-            return self.terms.values().all(|a| a.abs() < eps);
+            return self.terms.iter().all(|(_, a)| a.abs() < eps);
         };
-        let ours = self.terms.get(rk).copied().unwrap_or(C64::ZERO);
-        let phase = ours / ra;
+        let phase = self.amplitude_at(rk) / ra;
         if (phase.abs() - 1.0).abs() > eps {
             return false;
         }
-        for (key, &amp) in &self.terms {
-            let theirs = other.terms.get(key).copied().unwrap_or(C64::ZERO);
-            if !(amp - theirs * phase).abs().is_finite() || (amp - theirs * phase).abs() > eps {
+        let mut theirs_at: FxHashMap<usize> =
+            FxHashMap::with_capacity_and_hasher(other.terms.len(), Default::default());
+        theirs_at.extend(other.terms.iter().enumerate().map(|(j, (k, _))| (*k, j)));
+        let mut matched = vec![false; other.terms.len()];
+        for (key, amp) in &self.terms {
+            let theirs = match theirs_at.get(key) {
+                Some(&j) => {
+                    matched[j] = true;
+                    other.terms[j].1
+                }
+                None => C64::ZERO,
+            };
+            let diff = (*amp - theirs * phase).abs();
+            if !diff.is_finite() || diff > eps {
                 return false;
             }
         }
-        for (key, &amp) in &other.terms {
-            if !self.terms.contains_key(key) && amp.abs() > eps {
-                return false;
-            }
-        }
-        true
+        other
+            .terms
+            .iter()
+            .zip(&matched)
+            .all(|((_, amp), &seen)| seen || amp.abs() <= eps)
     }
 }
 
@@ -1088,6 +1130,199 @@ mod tests {
             assert_eq!(x.re.to_bits(), y.re.to_bits());
             assert_eq!(x.im.to_bits(), y.im.to_bits());
         }
+    }
+
+    /// Every `Gate` kind the differential tests draw from.
+    const GATE_KINDS: usize = 28;
+
+    /// Gate kind `k` (of [`GATE_KINDS`]), with seeded angles.
+    fn gate_of_kind(k: usize, rng: &mut SplitMix64) -> Gate {
+        let mut angle = || (rng.next_unit() - 0.5) * 4.0 * std::f64::consts::PI;
+        match k {
+            0 => Gate::I,
+            1 => Gate::H,
+            2 => Gate::X,
+            3 => Gate::Y,
+            4 => Gate::Z,
+            5 => Gate::S,
+            6 => Gate::Sdg,
+            7 => Gate::T,
+            8 => Gate::Tdg,
+            9 => Gate::Sx,
+            10 => Gate::Sxdg,
+            11 => Gate::Rx(angle()),
+            12 => Gate::Ry(angle()),
+            13 => Gate::Rz(angle()),
+            14 => Gate::U1(angle()),
+            15 => Gate::U2(angle(), angle()),
+            16 => Gate::U3(angle(), angle(), angle()),
+            17 => Gate::Xpow(angle()),
+            18 => Gate::Cxpow(angle()),
+            19 => Gate::Cx,
+            20 => Gate::Cz,
+            21 => Gate::Cp(angle()),
+            22 => Gate::Swap,
+            23 => Gate::Ccx,
+            24 => Gate::Ccz,
+            25 => Gate::Cswap,
+            26 => Gate::Measure,
+            // A diagonal u3 takes the in-place scale path of `apply_1q`.
+            _ => Gate::U3(0.0, angle(), angle()),
+        }
+    }
+
+    /// A seeded random circuit on `n ≥ 3` qubits drawing uniformly from
+    /// every gate kind on distinct random operands; `seen[k]` records
+    /// which kinds it used.
+    fn random_every_gate_circuit(
+        n: usize,
+        len: usize,
+        rng: &mut SplitMix64,
+        seen: &mut [bool; GATE_KINDS],
+    ) -> Circuit {
+        let mut c = Circuit::new(n);
+        for _ in 0..len {
+            let k = (rng.next_u64() % GATE_KINDS as u64) as usize;
+            seen[k] = true;
+            let gate = gate_of_kind(k, rng);
+            let mut qs: Vec<Qubit> = Vec::with_capacity(3);
+            while qs.len() < gate.arity() {
+                let q = Qubit::new((rng.next_u64() % n as u64) as usize);
+                if !qs.contains(&q) {
+                    qs.push(q);
+                }
+            }
+            c.push(Instruction::new(gate, &qs));
+        }
+        c
+    }
+
+    fn assert_bitwise_equal(new: &SparseState, old: &map_reference::MapState, what: &str) {
+        assert_eq!(new.num_terms(), old.num_terms(), "term count: {what}");
+        let (a, b) = (
+            new.dense_amplitudes().unwrap(),
+            old.dense_amplitudes().unwrap(),
+        );
+        for (i, (x, y)) in a.iter().zip(&b).enumerate() {
+            assert!(
+                x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits(),
+                "amplitude {i}: flat list {x} vs map {y}: {what}"
+            );
+        }
+    }
+
+    #[test]
+    fn flat_list_matches_the_map_kernel_bit_for_bit() {
+        let mut rng = SplitMix64::new(0x5eed);
+        let mut seen = [false; GATE_KINDS];
+        for case in 0..240 {
+            let n = 3 + case % 12;
+            let circuit = random_every_gate_circuit(n, 20 + case % 41, &mut rng, &mut seen);
+            let mut new = SparseState::zero(n).unwrap();
+            let mut old = map_reference::MapState::zero(n).unwrap();
+            new.apply_circuit(&circuit).unwrap();
+            old.apply_circuit(&circuit).unwrap();
+            assert_bitwise_equal(&new, &old, &format!("case {case}\n{circuit}"));
+        }
+        assert!(seen.iter().all(|&s| s), "gate kinds drawn: {seen:?}");
+    }
+
+    #[test]
+    fn mapped_application_matches_the_map_kernel_bit_for_bit() {
+        // Logical circuits embedded through a random injective map into a
+        // wider register, as the layout trials do.
+        let mut rng = SplitMix64::new(0xa11);
+        let mut seen = [false; GATE_KINDS];
+        for case in 0..120 {
+            let n_log = 3 + case % 8;
+            let n_phys = n_log + case % 5;
+            let mut phys: Vec<usize> = (0..n_phys).collect();
+            for i in (1..n_phys).rev() {
+                phys.swap(i, (rng.next_u64() % (i as u64 + 1)) as usize);
+            }
+            let map = &phys[..n_log];
+            let circuit = random_every_gate_circuit(n_log, 30, &mut rng, &mut seen);
+            let mut new = SparseState::zero(n_phys).unwrap();
+            let mut old = map_reference::MapState::zero(n_phys).unwrap();
+            new.apply_circuit_mapped(&circuit, map).unwrap();
+            old.apply_circuit_mapped(&circuit, map).unwrap();
+            assert_bitwise_equal(&new, &old, &format!("case {case}, map {map:?}"));
+        }
+    }
+
+    #[test]
+    fn budget_errors_match_the_map_kernel() {
+        // Same outcome under a tight budget: the same gate trips it, with
+        // the same term count in the error.
+        let mut rng = SplitMix64::new(0xb0d9e7);
+        let mut seen = [false; GATE_KINDS];
+        for case in 0..120 {
+            let n = 3 + case % 10;
+            let budget = 1 + (rng.next_u64() % 64) as usize;
+            let circuit = random_every_gate_circuit(n, 40, &mut rng, &mut seen);
+            let mut new = SparseState::zero(n).unwrap().with_max_terms(budget);
+            let mut old = map_reference::MapState::zero(n)
+                .unwrap()
+                .with_max_terms(budget);
+            let (a, b) = (new.apply_circuit(&circuit), old.apply_circuit(&circuit));
+            assert_eq!(format!("{a:?}"), format!("{b:?}"), "case {case}");
+            if a.is_ok() {
+                assert_bitwise_equal(&new, &old, &format!("case {case}"));
+            }
+        }
+    }
+
+    #[test]
+    fn phase_verdicts_match_the_map_kernel() {
+        // Equal states, states off by a global phase, and states off by
+        // one random extra gate: both comparisons give the same verdict.
+        let mut rng = SplitMix64::new(0xfa5e);
+        let mut seen = [false; GATE_KINDS];
+        let mut verdicts = [0usize; 2];
+        for case in 0..160 {
+            let n = 3 + case % 8;
+            let circuit = random_every_gate_circuit(n, 20, &mut rng, &mut seen);
+            let mut other = circuit.clone();
+            match case % 3 {
+                0 => {}
+                1 => {
+                    other.u1(1.0, 0).x(0).u1(1.0, 0).x(0);
+                }
+                _ => {
+                    other.append(&random_every_gate_circuit(n, 1, &mut rng, &mut seen));
+                }
+            }
+            let run_new = |c: &Circuit| {
+                let mut s = SparseState::zero(n).unwrap();
+                s.apply_circuit(c).unwrap();
+                s
+            };
+            let run_old = |c: &Circuit| {
+                let mut s = map_reference::MapState::zero(n).unwrap();
+                s.apply_circuit(c).unwrap();
+                s
+            };
+            let new = run_new(&circuit).approx_eq_up_to_phase(&run_new(&other), 1e-9);
+            let old = run_old(&circuit).approx_eq_up_to_phase(&run_old(&other), 1e-9);
+            assert_eq!(new, old, "case {case}");
+            verdicts[usize::from(new)] += 1;
+        }
+        assert!(verdicts[0] > 0 && verdicts[1] > 0, "{verdicts:?}");
+    }
+
+    #[test]
+    fn comparison_sees_terms_only_the_other_side_has() {
+        // Not reachable from unit-norm states, but the verdict must not
+        // depend on which side carries the extra term.
+        let one = |terms: Vec<(Key, C64)>| SparseState {
+            terms,
+            ..SparseState::zero(2).unwrap()
+        };
+        let a = one(vec![(ZERO_KEY, C64::ONE)]);
+        let b = one(vec![(ZERO_KEY, C64::ONE), ([1, 0, 0, 0], C64::real(0.5))]);
+        assert!(a.approx_eq_up_to_phase(&a, 1e-9));
+        assert!(!a.approx_eq_up_to_phase(&b, 1e-9));
+        assert!(!b.approx_eq_up_to_phase(&a, 1e-9));
     }
 
     #[test]

@@ -769,7 +769,7 @@ impl SplitMix64 {
     }
 
     /// Uniform in `[0, 1)`.
-    fn next_unit(&mut self) -> f64 {
+    pub(crate) fn next_unit(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
 }

@@ -166,6 +166,24 @@ fn classical_control_and_degenerate_registers_are_rejected() {
 }
 
 #[test]
+fn deeply_nested_parameters_are_too_deep_errors() {
+    // 200k nested parentheses (or unary minuses) used to recurse once per
+    // token and abort the process on stack overflow.
+    let parens = format!("{}pi{}", "(".repeat(200_000), ")".repeat(200_000));
+    let minuses = format!("{}pi", "-".repeat(200_000));
+    for param in [parens, minuses] {
+        let source = format!("OPENQASM 2.0;\nqreg q[1];\nrz({param}) q[0];\n");
+        match parse(&source) {
+            Err(QasmError::TooDeep { line, .. }) => assert_eq!(line, 3),
+            other => panic!("expected TooDeep, got {other:?}"),
+        }
+    }
+    // Ordinary nesting still evaluates.
+    let source = "OPENQASM 2.0;\nqreg q[1];\nrz(-((((pi/2))))) q[0];\n";
+    assert_eq!(parse(source).unwrap().len(), 1);
+}
+
+#[test]
 fn error_displays_are_informative() {
     // Every variant's Display carries the line and enough context to fix
     // the file without reading parser source.
